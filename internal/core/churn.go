@@ -135,7 +135,9 @@ func (n *Network) RemovePeer(id graph.PeerID) []graph.EdgeID {
 // DiscoverIncremental evaluates only the structures (cycles and parallel
 // paths) that traverse at least one of the changed mappings and installs
 // their evidence, leaving everything discovered earlier in place — the churn
-// counterpart of Discover. Call it after adding mappings (or re-adding a
+// counterpart of Discover. Evaluation is incremental; enumeration is not:
+// the search still walks the whole topology and keeps the structures
+// through a changed mapping. Call it after adding mappings (or re-adding a
 // revised mapping, whose removal retracted the old evidence): the changed
 // IDs must be newly (re)installed since the last discovery, otherwise their
 // structures would be double-counted in the report. The combination of
@@ -164,15 +166,7 @@ func (n *Network) DiscoverIncremental(cfg DiscoverConfig, changed ...graph.EdgeI
 	}); err != nil {
 		return DiscoveryReport{}, err
 	}
-	var cycles []graph.Cycle
-	for _, c := range n.topo.Cycles(cfg.MaxLen) {
-		for _, s := range c.Steps {
-			if chg[s.Edge] {
-				cycles = append(cycles, c)
-				break
-			}
-		}
-	}
+	cycles := n.topo.CyclesThrough(chg, cfg.MaxLen)
 	var pairs []graph.ParallelPair
 	if !cfg.DisableParallelPaths {
 		for _, pr := range n.topo.ParallelPaths(cfg.MaxLen) {

@@ -502,7 +502,7 @@ func (s *Simulation) discoverCfg() core.DiscoverConfig {
 }
 
 // advanceEpoch performs the state-changing first half of one epoch — churn,
-// (incremental) evidence discovery and re-detection — shared by the scenario
+// (incremental) evidence discovery and full re-detection — shared by the scenario
 // replay (runEpoch) and the serving-plane workload engine (RunWorkload). It
 // fills the structural and detection fields of the trace and returns the
 // detection result plus the effective delivery probability.
@@ -558,7 +558,9 @@ func (s *Simulation) advanceEpoch(i int) (EpochTrace, core.DetectResult, float64
 		Pinned:     rep.Pinned,
 	}
 
-	// 3. Incremental re-detection: fresh messages over maintained evidence.
+	// 3. Re-detection from scratch: every message is reset to the unit
+	// message and full lockstep detection runs over the maintained
+	// evidence. Only the evidence is maintained incrementally.
 	psend := ep.PSend
 	if psend == 0 {
 		psend = 1
