@@ -252,6 +252,28 @@ func BenchmarkDetectionRound(b *testing.B) {
 	}
 }
 
+// TestDetectionRoundAllocationCeiling gates the allocations of one periodic
+// round on the setup of BenchmarkDetectionRound. The count is deterministic
+// (it depends on the network and the wire codec, never on timing), so a
+// regression in the send path — an allocation per frame or per destination
+// — fails here on the day it lands.
+func TestDetectionRoundAllocationCeiling(t *testing.T) {
+	n := paper.Fig5Network()
+	if _, err := n.DiscoverStructural(paper.Attrs(), 6, paper.Delta); err != nil {
+		t.Fatal(err)
+	}
+	// 1,675 allocs measured when the gate was introduced, plus 2% headroom.
+	const ceiling = 1708
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := n.RunDetection(core.DetectOptions{MaxRounds: 1, Tolerance: 1e-300}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Errorf("one detection round made %.0f allocs, ceiling %d", allocs, ceiling)
+	}
+}
+
 // BenchmarkProbeDiscovery measures the TTL-6 probe flood on the Fig 5
 // network.
 func BenchmarkProbeDiscovery(b *testing.B) {

@@ -85,11 +85,6 @@ type DetectOptions struct {
 	// Trace, if non-nil, receives after every round the posterior map. The
 	// map is freshly allocated each call.
 	Trace func(round int, posteriors map[graph.EdgeID]map[schema.Attribute]float64)
-	// Publish, if non-nil, makes the run publish a fresh RoutingSnapshot
-	// under this policy after every round (and a final one when the run
-	// ends), so concurrent query servers reading Network.Snapshot always see
-	// the latest posteriors without ever blocking the BP rounds.
-	Publish *SnapshotOptions
 }
 
 func (o DetectOptions) withDefaults() (DetectOptions, error) {
@@ -218,25 +213,95 @@ func (n *Network) RunDetection(opts DetectOptions) (DetectResult, error) {
 	if err != nil {
 		return DetectResult{}, err
 	}
+	var (
+		res   DetectResult
+		scope *detectScope // nil: the whole network
+		comps []*detectComponent
+	)
+	if opts.Incremental {
+		scope, comps = n.incrementalComponents()
+		n.fbDirty = nil // consumed: the next incremental run starts clean
+		res.Work.Resets = n.resetScope(scope)
+		res.Work.Components = len(comps)
+		res.TouchedVars = len(scope.vars)
+		res.TouchedEdges = make(map[graph.EdgeID]bool, len(scope.vars))
+		for key := range scope.vars {
+			res.TouchedEdges[key.Mapping] = true
+		}
+	} else {
+		for _, p := range n.peers {
+			res.TouchedVars += len(p.vars)
+		}
+	}
+
 	// Incremental runs under reliable delivery take the residual-scheduled,
 	// component-parallel path. Under loss the lockstep sweeps stay: they
 	// heal dropped frames by resending every round, which a residual skip
 	// would not. Trace wants per-round posteriors of the whole scope, which
 	// only the lockstep schedule produces.
-	if opts.Incremental && !opts.FixedSweeps && opts.PSend >= 1 && opts.Trace == nil {
-		return n.runResidualDetection(opts)
+	var outs []runResult
+	switch {
+	case opts.Incremental && !opts.FixedSweeps && opts.PSend >= 1 && opts.Trace == nil:
+		outs = n.runComponents(comps, opts)
+	case scope == nil || res.TouchedVars > 0:
+		var out runResult
+		cfg := network.Config{Kind: opts.Transport, PSend: opts.PSend, Seed: opts.Seed, Shards: opts.Shards}
+		tr, err := newDetectTransport(cfg, n.Peers())
+		if err != nil {
+			return DetectResult{}, err
+		}
+		defer tr.Close()
+		res.Posteriors = n.lockstep(tr, n.shardPartition(tr), scope, comps, opts, &out)
+		settle(tr, &out)
+		outs = []runResult{out}
 	}
-	tr, err := network.New(network.Config{
-		Kind:   opts.Transport,
-		PSend:  opts.PSend,
-		Seed:   opts.Seed,
-		Shards: opts.Shards,
-	})
+
+	// Canonical merge: components are ordered by identity, so the summed
+	// counters never depend on completion order. An incremental run with
+	// an empty scope has nothing to converge and reports converged.
+	res.Converged = true
+	for i := range outs {
+		o := &outs[i]
+		if o.err != nil {
+			return DetectResult{}, o.err
+		}
+		res.Rounds = max(res.Rounds, o.rounds)
+		res.Converged = res.Converged && o.converged
+		res.RemoteMessages += o.remote
+		res.Transport.Sent += o.stats.Sent
+		res.Transport.Delivered += o.stats.Delivered
+		res.Transport.Dropped += o.stats.Dropped
+		res.Work.Add(o.work)
+	}
+	if scope != nil {
+		// An incremental run converges on the dirty components alone; the
+		// reported posterior map still covers the whole network (untouched
+		// variables kept their converged messages).
+		res.Posteriors = n.snapshotPosteriors(opts.DefaultPrior)
+	}
+	return res, nil
+}
+
+// runResult is one schedule run's contribution to the merged DetectResult:
+// the whole lockstep run, or one component of the residual schedule.
+type runResult struct {
+	rounds    int
+	converged bool
+	remote    int
+	stats     network.Stats
+	work      DetectWork
+	err       error
+}
+
+// newDetectTransport builds the stepped transport one detection run's
+// µ-messages cross, with a handler for every given peer that decodes each
+// frame and folds it into the matching factor replica.
+func newDetectTransport(cfg network.Config, peers []*Peer) (network.Stepped, error) {
+	tr, err := network.New(cfg)
 	if err != nil {
-		return DetectResult{}, err
+		return nil, err
 	}
-	defer tr.Close()
-	for _, p := range n.Peers() {
+	for _, p := range peers {
 		p := p
 		err := tr.Register(p.id, func(e network.Envelope) {
 			m, err := wire.Decode(e.Payload)
@@ -248,41 +313,48 @@ func (n *Network) RunDetection(opts DetectOptions) (DetectResult, error) {
 			}
 		})
 		if err != nil {
-			return DetectResult{}, err
+			tr.Close()
+			return nil, err
 		}
 	}
-	shards := n.shardPartition(tr)
+	return tr, nil
+}
 
-	var scope *detectScope
-	res := DetectResult{}
-	if opts.Incremental {
-		var comps []*detectComponent
-		scope, comps = n.incrementalComponents()
-		n.fbDirty = nil // consumed: the next incremental run starts clean
-		res.Work.Resets = n.resetScope(scope)
-		res.Work.Components = len(comps)
-	}
-	res.TouchedVars = n.scopeSize(scope)
-	if scope != nil {
-		res.TouchedEdges = make(map[graph.EdgeID]bool, len(scope.vars))
-		for key := range scope.vars {
-			res.TouchedEdges[key.Mapping] = true
+// settle records a finished run's transport counters. A transport backed
+// by a real stream (TCP loopback) cannot report failures per Send/Step; a
+// broken socket would otherwise degrade into silently missing messages and
+// a bogus "converged" result, so its failure fails the run.
+func settle(tr network.Stepped, out *runResult) {
+	out.stats = tr.Stats()
+	if ec, ok := tr.(interface{ Err() error }); ok {
+		if err := ec.Err(); err != nil {
+			out.err = fmt.Errorf("core: transport failed: %w", err)
 		}
 	}
-	prev := n.scopedPosteriors(opts.DefaultPrior, scope)
+}
+
+// lockstep runs the synchronous sweep schedule on tr: every round each
+// in-scope variable sends all its messages, the transport delivers them,
+// every in-scope variable refreshes, and the run stops once the largest
+// posterior change stayed under tolerance for StableRounds rounds. A nil
+// scope sweeps the whole network; otherwise comps are the scope's
+// components, which every round sweeps at once. The counters accumulate
+// into out; returns the last posterior view (see posteriorsOf).
+func (n *Network) lockstep(tr network.Stepped, shards [][]*Peer, scope *detectScope, comps []*detectComponent, opts DetectOptions, out *runResult) map[graph.EdgeID]map[schema.Attribute]float64 {
+	prev := n.posteriorsOf(scope, comps, opts.DefaultPrior)
 	stable := 0
-	for round := 1; round <= opts.MaxRounds && (scope == nil || res.TouchedVars > 0); round++ {
+	out.converged = false
+	for round := 1; round <= opts.MaxRounds; round++ {
 		remote, updates := sendRound(tr, shards, opts.DefaultPrior, scope, opts.Blocked)
-		res.RemoteMessages += remote
-		res.Work.MessageUpdates += updates
+		out.remote += remote
+		out.work.MessageUpdates += updates
 		tr.Step()
-		res.Work.FactorUpdates += refreshRound(shards, scope)
-		res.Rounds = round
+		out.work.FactorUpdates += refreshRound(shards, scope)
+		out.rounds = round
+		// A full run counts as one component.
+		out.work.ComponentRounds += max(1, len(comps))
 
-		cur := n.scopedPosteriors(opts.DefaultPrior, scope)
-		if opts.Publish != nil && scope == nil {
-			n.PublishSnapshot(DetectResult{Posteriors: cur}, *opts.Publish)
-		}
+		cur := n.posteriorsOf(scope, comps, opts.DefaultPrior)
 		maxDelta := posteriorDelta(prev, cur)
 		prev = cur
 		if opts.Trace != nil {
@@ -291,40 +363,14 @@ func (n *Network) RunDetection(opts DetectOptions) (DetectResult, error) {
 		if maxDelta < opts.Tolerance {
 			stable++
 			if stable >= opts.StableRounds {
-				res.Converged = true
+				out.converged = true
 				break
 			}
 		} else {
 			stable = 0
 		}
 	}
-	if scope == nil {
-		res.Posteriors = prev
-	} else {
-		// An incremental run converges on the dirty components alone; the
-		// reported posterior map still covers the whole network (untouched
-		// variables kept their converged messages).
-		res.Posteriors = n.snapshotPosteriors(opts.DefaultPrior)
-		res.Converged = res.Converged || res.TouchedVars == 0
-		if opts.Publish != nil {
-			n.PublishSnapshot(DetectResult{Posteriors: res.Posteriors, TouchedEdges: res.TouchedEdges}, *opts.Publish)
-		}
-	}
-	// The lockstep schedules run every component every round.
-	res.Work.ComponentRounds = res.Rounds
-	if scope != nil {
-		res.Work.ComponentRounds = res.Rounds * res.Work.Components
-	}
-	res.Transport = tr.Stats()
-	// A transport backed by a real stream (TCP loopback) cannot report
-	// failures per Send/Step; a broken socket would otherwise degrade into
-	// silently missing messages and a bogus "converged" result.
-	if ec, ok := tr.(interface{ Err() error }); ok {
-		if err := ec.Err(); err != nil {
-			return DetectResult{}, fmt.Errorf("core: transport failed: %w", err)
-		}
-	}
-	return res, nil
+	return prev
 }
 
 // shardPartition buckets the peers along the transport's shard partition so
@@ -370,15 +416,39 @@ func eachShard(shards [][]*Peer, f func(shard int, peers []*Peer)) {
 // the arithmetic.
 func selfPromoteMsg() factorgraph.Msg { return factorgraph.Msg{1, 0} }
 
-// sendRound performs phase 1 of a period for every peer: compute, marshal
-// and emit the variable→factor messages. Messages to factors replicated on
-// the same peer are applied locally (they never touch the network);
-// messages to other peers are sent once per (factor, destination peer).
-// A non-nil scope restricts the round to the dirty components of an
-// incremental run; a non-nil blocked predicate severs links (partition).
-// Self-promoting peers lie in the emitted frames only — their local replica
-// copies stay honest. Returns the number of remote messages handed to the
-// transport and the number of variable→factor messages applied.
+// emit applies one variable→factor message of p: p's own replica of the
+// factor records it, so p's other variables in the factor see it, and the
+// message is marshalled once and sent to every other owner of the factor
+// whose link blocked (a partition, may be nil) does not sever. Messages to
+// factors replicated only on p never touch the network. Self-promoting
+// peers lie in the emitted frame only — their replica copy stays honest.
+// Returns the number of frames handed to the transport.
+func (p *Peer) emit(tr network.Transport, f *factorRef, msg factorgraph.Msg, blocked func(from, to graph.PeerID) bool) int {
+	f.replica.setRemote(f.pos, msg)
+	dests := f.destinations(p.id)
+	if len(dests) == 0 {
+		return 0
+	}
+	if p.selfPromote {
+		msg = selfPromoteMsg()
+	}
+	frame := wire.Encode(wire.Remote{EvID: f.replica.ev.ID, Pos: f.pos, Msg: msg})
+	sent := 0
+	for _, dest := range dests {
+		if blocked != nil && blocked(p.id, dest) {
+			continue
+		}
+		tr.Send(network.Envelope{From: p.id, To: dest, Payload: frame})
+		sent++
+	}
+	return sent
+}
+
+// sendRound performs phase 1 of a period for every peer: compute and emit
+// every variable→factor message. A non-nil scope restricts the round to the
+// dirty components of an incremental run; a non-nil blocked predicate
+// severs links (partition). Returns the number of remote messages handed to
+// the transport and the number of variable→factor messages applied.
 func sendRound(tr network.Transport, shards [][]*Peer, defPrior float64, scope *detectScope, blocked func(from, to graph.PeerID) bool) (int, int) {
 	counts := make([]int, len(shards))
 	updates := make([]int, len(shards))
@@ -393,27 +463,8 @@ func sendRound(tr network.Transport, shards [][]*Peer, defPrior float64, scope *
 				prior := p.PriorFor(key.Mapping, key.Attr, defPrior)
 				outs := vs.outgoingAll(prior)
 				for fi, f := range vs.factors {
-					out := outs[fi]
-					// Local copy: my own replica records my message so my
-					// other variables in this factor see it.
-					f.replica.setRemote(f.pos, out)
+					sent += p.emit(tr, f, outs[fi], blocked)
 					upd++
-					dests := f.destinations(p.id)
-					if len(dests) == 0 {
-						continue
-					}
-					wireMsg := out
-					if p.selfPromote {
-						wireMsg = selfPromoteMsg()
-					}
-					frame := wire.Encode(wire.Remote{EvID: f.replica.ev.ID, Pos: f.pos, Msg: wireMsg})
-					for _, dest := range dests {
-						if blocked != nil && blocked(p.id, dest) {
-							continue
-						}
-						tr.Send(network.Envelope{From: p.id, To: dest, Payload: frame})
-						sent++
-					}
 				}
 			}
 		}
@@ -463,31 +514,6 @@ type detectScope struct {
 	evs  map[string]bool
 }
 
-// incrementalScope computes the closure of the current dirty set: starting
-// from every (mapping, attribute) variable feedback touched, alternate
-// variable → adjacent factors → their variables until fixpoint. Messages
-// never cross component boundaries, so re-running belief propagation inside
-// the closure (from fresh unit messages) reproduces exactly what a full
-// from-scratch detection would compute there, while everything outside keeps
-// its converged state.
-func (n *Network) incrementalScope() *detectScope {
-	scope, _ := n.incrementalComponents()
-	return scope
-}
-
-// scopeSize reports how many variables a run will iterate: the scope's for
-// an incremental run, the whole network's otherwise.
-func (n *Network) scopeSize(scope *detectScope) int {
-	if scope != nil {
-		return len(scope.vars)
-	}
-	total := 0
-	for _, p := range n.peers {
-		total += len(p.vars)
-	}
-	return total
-}
-
 // resetScope restores unit messages inside the scope only — the incremental
 // counterpart of ResetMessages. Returns the number of message slots reset.
 func (n *Network) resetScope(scope *detectScope) int {
@@ -516,19 +542,20 @@ func (n *Network) resetScope(scope *detectScope) int {
 	return resets
 }
 
-// scopedPosteriors collects the posteriors the convergence check needs: the
-// scope's variables for an incremental run (everything else is frozen and
-// would only pad the delta computation), or the full map.
-func (n *Network) scopedPosteriors(defPrior float64, scope *detectScope) map[graph.EdgeID]map[schema.Attribute]float64 {
+// posteriorsOf collects the posteriors a lockstep run's convergence check
+// needs. A nil scope takes every variable of the network, pins included
+// (the full run reports this map). Otherwise it takes only the members of
+// comps: everything else is frozen and would only pad the delta
+// computation, and the component-local walk never touches state outside
+// comps, so worker pools running disjoint components cannot race.
+func (n *Network) posteriorsOf(scope *detectScope, comps []*detectComponent, defPrior float64) map[graph.EdgeID]map[schema.Attribute]float64 {
 	if scope == nil {
 		return n.snapshotPosteriors(defPrior)
 	}
 	out := make(map[graph.EdgeID]map[schema.Attribute]float64)
-	for _, p := range n.Peers() {
-		for _, key := range p.sortedVarKeys() {
-			if !scope.vars[key] {
-				continue
-			}
+	for _, c := range comps {
+		for _, key := range c.vars {
+			p := c.owner[key]
 			mm, ok := out[key.Mapping]
 			if !ok {
 				mm = make(map[schema.Attribute]float64)

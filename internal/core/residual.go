@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"sync"
@@ -10,8 +9,6 @@ import (
 	"repro/internal/factorgraph"
 	"repro/internal/graph"
 	"repro/internal/network"
-	"repro/internal/schema"
-	"repro/internal/wire"
 )
 
 // escalationPatience is how many consecutive rounds the residual frontier may
@@ -59,10 +56,16 @@ type detectComponent struct {
 	peers []*Peer
 }
 
-// incrementalComponents computes the closure of the current dirty set
-// (see incrementalScope) and partitions it into connected components of the
-// bipartite factor graph. Seeds are visited in canonical variable order, so
-// the component list — and everything derived from it — is deterministic.
+// incrementalComponents computes the closure of the current dirty set:
+// starting from every (mapping, attribute) variable feedback touched, it
+// alternates variable → adjacent factors → their variables until fixpoint,
+// and partitions the closure into connected components of the bipartite
+// factor graph. Messages never cross component boundaries, so re-running
+// belief propagation inside the closure (from fresh unit messages)
+// reproduces exactly what a full from-scratch detection would compute
+// there, while everything outside keeps its converged state. Seeds are
+// visited in canonical variable order, so the component list — and
+// everything derived from it — is deterministic.
 func (n *Network) incrementalComponents() (*detectScope, []*detectComponent) {
 	scope := &detectScope{vars: make(map[varKey]bool), evs: make(map[string]bool)}
 	seeds := make([]varKey, 0, len(n.fbDirty))
@@ -178,32 +181,11 @@ func componentSeed(seed int64, id varKey) int64 {
 	return int64(splitmix64(uint64(seed) ^ h.Sum64()))
 }
 
-// componentResult is one component run's contribution to the merged
-// DetectResult.
-type componentResult struct {
-	rounds    int
-	converged bool
-	remote    int
-	stats     network.Stats
-	work      DetectWork
-	err       error
-}
-
-// runResidualDetection is the incremental path of RunDetection under
-// reliable delivery: decompose the dirty closure into components, reset
-// their messages, and converge each on the residual schedule — serially or
-// on a worker pool. The merged result is bit-identical at any worker count.
-func (n *Network) runResidualDetection(opts DetectOptions) (DetectResult, error) {
-	scope, comps := n.incrementalComponents()
-	n.fbDirty = nil // consumed: the next incremental run starts clean
-	res := DetectResult{TouchedVars: n.scopeSize(scope)}
-	res.Work.Resets = n.resetScope(scope)
-	res.Work.Components = len(comps)
-	res.TouchedEdges = make(map[graph.EdgeID]bool, len(scope.vars))
-	for key := range scope.vars {
-		res.TouchedEdges[key.Mapping] = true
-	}
-
+// runComponents converges the components of an incremental run on the
+// residual schedule — serially or on a worker pool of opts.Workers — and
+// returns their results in canonical component order, so the merged result
+// is bit-identical at any worker count.
+func (n *Network) runComponents(comps []*detectComponent, opts DetectOptions) []runResult {
 	// Pre-warm the sorted-key caches: snapshotPosteriors iterates them after
 	// the runs, and a lazy rebuild inside a worker would be a write race.
 	for _, c := range comps {
@@ -212,7 +194,7 @@ func (n *Network) runResidualDetection(opts DetectOptions) (DetectResult, error)
 		}
 	}
 
-	outs := make([]componentResult, len(comps))
+	outs := make([]runResult, len(comps))
 	run := func(i int) {
 		outs[i] = n.runComponent(comps[i], opts, componentSeed(opts.Seed, comps[i].id))
 	}
@@ -242,32 +224,7 @@ func (n *Network) runResidualDetection(opts DetectOptions) (DetectResult, error)
 		}
 		wg.Wait()
 	}
-
-	// Canonical merge: components are ordered by identity, so the summed
-	// counters never depend on completion order.
-	res.Converged = true
-	for i := range outs {
-		o := &outs[i]
-		if o.err != nil {
-			return DetectResult{}, o.err
-		}
-		if o.rounds > res.Rounds {
-			res.Rounds = o.rounds
-		}
-		if !o.converged {
-			res.Converged = false
-		}
-		res.RemoteMessages += o.remote
-		res.Transport.Sent += o.stats.Sent
-		res.Transport.Delivered += o.stats.Delivered
-		res.Transport.Dropped += o.stats.Dropped
-		res.Work.Add(o.work)
-	}
-	res.Posteriors = n.snapshotPosteriors(opts.DefaultPrior)
-	if opts.Publish != nil {
-		n.PublishSnapshot(DetectResult{Posteriors: res.Posteriors, TouchedEdges: res.TouchedEdges}, *opts.Publish)
-	}
-	return res, nil
+	return outs
 }
 
 // runComponent converges one dirty component on the residual schedule over
@@ -275,7 +232,7 @@ func (n *Network) runResidualDetection(opts DetectOptions) (DetectResult, error)
 // frontier messages, step the transport, rebind factor→variable messages —
 // so a component's message flow is indistinguishable on the wire from a
 // scoped lockstep run that skipped the sub-tolerance traffic.
-func (n *Network) runComponent(c *detectComponent, opts DetectOptions, seed int64) componentResult {
+func (n *Network) runComponent(c *detectComponent, opts DetectOptions, seed int64) runResult {
 	kind := opts.Transport
 	if kind == network.KindSharded {
 		// A component is one small connected scope; the sharded substrate's
@@ -283,28 +240,13 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions, seed int6
 		// a frontier schedule. Component parallelism replaces it.
 		kind = network.KindSim
 	}
-	tr, err := network.New(network.Config{Kind: kind, PSend: 1, Seed: seed})
+	tr, err := newDetectTransport(network.Config{Kind: kind, PSend: 1, Seed: seed}, c.peers)
 	if err != nil {
-		return componentResult{err: err}
+		return runResult{err: err}
 	}
 	defer tr.Close()
-	for _, p := range c.peers {
-		p := p
-		err := tr.Register(p.id, func(e network.Envelope) {
-			m, err := wire.Decode(e.Payload)
-			if err != nil {
-				return // malformed frame: drop, exactly like a real node
-			}
-			if rm, ok := m.(wire.Remote); ok {
-				p.handleRemote(rm)
-			}
-		})
-		if err != nil {
-			return componentResult{err: err}
-		}
-	}
 
-	var out componentResult
+	var out runResult
 	resTol := opts.Tolerance
 	active := c.varSet
 	minFront, stagnant := len(active)+1, 0
@@ -327,24 +269,8 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions, seed int6
 				if round > 1 && factorgraph.Residual(f.replica.remote[f.pos], msg) <= resTol {
 					continue
 				}
-				f.replica.setRemote(f.pos, msg)
+				out.remote += p.emit(tr, f, msg, opts.Blocked)
 				out.work.MessageUpdates++
-				dests := f.destinations(p.id)
-				if len(dests) == 0 {
-					continue
-				}
-				wireMsg := msg
-				if p.selfPromote {
-					wireMsg = selfPromoteMsg()
-				}
-				frame := wire.Encode(wire.Remote{EvID: f.replica.ev.ID, Pos: f.pos, Msg: wireMsg})
-				for _, dest := range dests {
-					if opts.Blocked != nil && opts.Blocked(p.id, dest) {
-						continue
-					}
-					tr.Send(network.Envelope{From: p.id, To: dest, Payload: frame})
-					out.remote++
-				}
 			}
 		}
 		tr.Step()
@@ -390,69 +316,15 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions, seed int6
 		// settled within tolerance, so there is no fixpoint for the residual
 		// frontier to land on and its truncated trajectory would differ from
 		// a from-scratch run's. Escalate: reset the component and replay the
-		// synchronous lockstep sweeps, which reproduce the scratch
-		// trajectory bit-for-bit (the incremental ≡ scratch differential
-		// contract must hold on non-converging components too).
-		n.lockstepComponent(c, tr, opts, &out)
+		// synchronous lockstep sweeps restricted to it — exactly what a
+		// scratch detection computes here, whatever the rest of the network
+		// does — so the incremental ≡ scratch differential contract holds on
+		// non-converging components too. The extra work accumulates into
+		// the component's counters.
+		scope := &detectScope{vars: c.varSet, evs: c.evs}
+		out.work.Resets += n.resetScope(scope)
+		n.lockstep(tr, [][]*Peer{c.peers}, scope, []*detectComponent{c}, opts, &out)
 	}
-	out.stats = tr.Stats()
-	if ec, ok := tr.(interface{ Err() error }); ok {
-		if err := ec.Err(); err != nil {
-			return componentResult{err: fmt.Errorf("core: component transport failed: %w", err)}
-		}
-	}
-	return out
-}
-
-// lockstepComponent re-runs one component on the synchronous sweep schedule
-// after a residual run failed to converge, accumulating the extra work into
-// the component's counters. Identical to the FixedSweeps path restricted to
-// this component — which is exactly what a scratch detection computes here,
-// whatever the rest of the network does — so the incremental ≡ scratch
-// differential contract holds on non-converging components too.
-func (n *Network) lockstepComponent(c *detectComponent, tr network.Stepped, opts DetectOptions, out *componentResult) {
-	scope := &detectScope{vars: c.varSet, evs: c.evs}
-	out.work.Resets += n.resetScope(scope)
-	shards := [][]*Peer{c.peers}
-	prev := c.posteriors(opts.DefaultPrior)
-	stable := 0
-	out.converged = false
-	for round := 1; round <= opts.MaxRounds; round++ {
-		remote, updates := sendRound(tr, shards, opts.DefaultPrior, scope, opts.Blocked)
-		out.remote += remote
-		out.work.MessageUpdates += updates
-		tr.Step()
-		out.work.FactorUpdates += refreshRound(shards, scope)
-		out.rounds = round
-		out.work.ComponentRounds++
-		cur := c.posteriors(opts.DefaultPrior)
-		maxDelta := posteriorDelta(prev, cur)
-		prev = cur
-		if maxDelta < opts.Tolerance {
-			stable++
-			if stable >= opts.StableRounds {
-				out.converged = true
-				return
-			}
-		} else {
-			stable = 0
-		}
-	}
-}
-
-// posteriors collects the component's current posterior map — the
-// convergence view of the escalated lockstep run. Component-local so worker
-// pools never touch state (or lazy caches) outside their own component.
-func (c *detectComponent) posteriors(defPrior float64) map[graph.EdgeID]map[schema.Attribute]float64 {
-	out := make(map[graph.EdgeID]map[schema.Attribute]float64)
-	for _, key := range c.vars {
-		p := c.owner[key]
-		mm, ok := out[key.Mapping]
-		if !ok {
-			mm = make(map[schema.Attribute]float64)
-			out[key.Mapping] = mm
-		}
-		mm[key.Attr] = p.vars[key].posterior(p.PriorFor(key.Mapping, key.Attr, defPrior))
-	}
+	settle(tr, &out)
 	return out
 }

@@ -506,20 +506,58 @@ func (n *Network) PublishSnapshot(det DetectResult, opts SnapshotOptions) *Routi
 	return snap
 }
 
-func thetaFn(opts SnapshotOptions) func(schema.Attribute) float64 {
-	return func(a schema.Attribute) float64 {
-		if t, ok := opts.Theta[a]; ok {
-			return t
-		}
-		return opts.DefaultTheta
+// theta returns the semantic threshold θ_a of an attribute.
+func (o *SnapshotOptions) theta(a schema.Attribute) float64 {
+	if t, ok := o.Theta[a]; ok {
+		return t
 	}
+	return o.DefaultTheta
+}
+
+// verdictOf is the θ gate for one (edge, source attribute) pair: an
+// attribute the mapping does not carry is dropped; otherwise its posterior —
+// 0 when ⊥-pinned — blocks at or below θ_a and passes above it. Returns the
+// verdict and, for a mapped attribute, the posterior the snapshot freezes.
+// Alloc-free, so delta publication can re-gate every edge it diffs.
+func verdictOf(p *Peer, m *schema.Mapping, eid graph.EdgeID, a schema.Attribute, det *DetectResult, opts *SnapshotOptions) (attrVerdict, float64) {
+	if _, mapped := m.Map(a); !mapped {
+		return verdictDropped, 0
+	}
+	pr := det.Posterior(eid, a, opts.DefaultPosterior)
+	if p.Pinned(eid, a) {
+		pr = 0
+	}
+	if pr <= opts.theta(a) {
+		return verdictBlocked, pr
+	}
+	return verdictPass, pr
+}
+
+// gateEdge fills the verdicts of a fresh snapEdge owned by p and returns
+// the posterior map of its mapped attributes.
+//
+//pdms:snapshot-builder
+func gateEdge(se *snapEdge, p *Peer, det *DetectResult, opts *SnapshotOptions) map[schema.Attribute]float64 {
+	se.verdicts = make(map[schema.Attribute]attrVerdict, p.schema.Len())
+	post := make(map[schema.Attribute]float64)
+	for _, a := range p.schema.Attributes() {
+		v, pr := verdictOf(p, se.mapping, se.id, a, det, opts)
+		se.verdicts[a] = v
+		if v == verdictDropped {
+			continue
+		}
+		post[a] = pr
+		if v == verdictPass {
+			se.passable = true
+		}
+	}
+	return post
 }
 
 // fullSnapshot rebuilds every peer, edge and posterior map from scratch.
 //
 //pdms:snapshot-builder
 func (n *Network) fullSnapshot(det DetectResult, opts SnapshotOptions) *RoutingSnapshot {
-	theta := thetaFn(opts)
 	snap := &RoutingSnapshot{
 		opts:       opts,
 		peers:      make(map[graph.PeerID]*snapPeer, len(n.order)),
@@ -538,31 +576,8 @@ func (n *Network) fullSnapshot(det DetectResult, opts SnapshotOptions) *RoutingS
 				continue
 			}
 			m := p.out[eid]
-			se := snapEdge{
-				id:       eid,
-				to:       e.To,
-				mapping:  m,
-				verdicts: make(map[schema.Attribute]attrVerdict, p.schema.Len()),
-				sig:      sigBits(eid),
-			}
-			post := make(map[schema.Attribute]float64)
-			for _, a := range p.schema.Attributes() {
-				if _, mapped := m.Map(a); !mapped {
-					se.verdicts[a] = verdictDropped
-					continue
-				}
-				pr := det.Posterior(eid, a, opts.DefaultPosterior)
-				if p.Pinned(eid, a) {
-					pr = 0
-				}
-				post[a] = pr
-				if pr <= theta(a) {
-					se.verdicts[a] = verdictBlocked
-					continue
-				}
-				se.verdicts[a] = verdictPass
-				se.passable = true
-			}
+			se := snapEdge{id: eid, to: e.To, mapping: m, sig: sigBits(eid)}
+			post := gateEdge(&se, p, &det, &opts)
 			if len(post) > 0 {
 				snap.posteriors[eid] = post
 			}
@@ -586,7 +601,6 @@ func (n *Network) fullSnapshot(det DetectResult, opts SnapshotOptions) *RoutingS
 //
 //pdms:snapshot-builder
 func (n *Network) deltaSnapshot(prev *RoutingSnapshot, det DetectResult, opts SnapshotOptions) *RoutingSnapshot {
-	theta := thetaFn(opts)
 	snap := &RoutingSnapshot{
 		opts:          opts,
 		peers:         prev.peers,
@@ -618,21 +632,10 @@ func (n *Network) deltaSnapshot(prev *RoutingSnapshot, det DetectResult, opts Sn
 		// posterior and compare against the frozen predecessor.
 		verdictChanged, postChanged := false, false
 		for _, a := range p.schema.Attributes() {
-			var v attrVerdict
-			if _, mapped := m.Map(a); !mapped {
-				v = verdictDropped
-			} else {
-				pr := det.Posterior(eid, a, opts.DefaultPosterior)
-				if p.Pinned(eid, a) {
-					pr = 0
-				}
+			v, pr := verdictOf(p, m, eid, a, &det, &opts)
+			if v != verdictDropped {
 				if old, ok := prevPost[a]; !ok || old != pr {
 					postChanged = true
-				}
-				if pr <= theta(a) {
-					v = verdictBlocked
-				} else {
-					v = verdictPass
 				}
 			}
 			if prevSE.verdicts[a] != v {
@@ -645,31 +648,8 @@ func (n *Network) deltaSnapshot(prev *RoutingSnapshot, det DetectResult, opts Sn
 
 		// Pass 2: rebuild the changed edge.
 		d.rebuilt++
-		se := snapEdge{
-			id:       eid,
-			to:       prevSE.to,
-			mapping:  m,
-			verdicts: make(map[schema.Attribute]attrVerdict, p.schema.Len()),
-			sig:      prevSE.sig,
-		}
-		post := make(map[schema.Attribute]float64)
-		for _, a := range p.schema.Attributes() {
-			if _, mapped := m.Map(a); !mapped {
-				se.verdicts[a] = verdictDropped
-				continue
-			}
-			pr := det.Posterior(eid, a, opts.DefaultPosterior)
-			if p.Pinned(eid, a) {
-				pr = 0
-			}
-			post[a] = pr
-			if pr <= theta(a) {
-				se.verdicts[a] = verdictBlocked
-				continue
-			}
-			se.verdicts[a] = verdictPass
-			se.passable = true
-		}
+		se := snapEdge{id: eid, to: prevSE.to, mapping: m, sig: prevSE.sig}
+		post := gateEdge(&se, p, &det, &opts)
 		if postChanged {
 			if !copiedPost {
 				cp := make(map[graph.EdgeID]map[schema.Attribute]float64, len(prev.posteriors))
@@ -685,6 +665,9 @@ func (n *Network) deltaSnapshot(prev *RoutingSnapshot, det DetectResult, opts Sn
 				delete(snap.posteriors, eid)
 			}
 		}
+		// A posterior that moved without crossing θ leaves routes untouched:
+		// only the frozen posterior map above needs the new bits, and the old
+		// snapEdge (and its owner) stay shared.
 		if verdictChanged {
 			if !copiedPeers {
 				cp := make(map[graph.PeerID]*snapPeer, len(prev.peers))
@@ -704,11 +687,6 @@ func (n *Network) deltaSnapshot(prev *RoutingSnapshot, det DetectResult, opts Sn
 			cur.out[idx] = se
 			d.edges = append(d.edges, eid)
 			d.sig.Or(se.sig)
-		} else {
-			// Posterior moved without crossing θ: routes are untouched, so
-			// only the frozen posterior map needs the new bits. The old
-			// snapEdge (and its owner) stay shared.
-			_ = se
 		}
 	}
 

@@ -287,7 +287,7 @@ func TestDeltaDigestOracle(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		pub := core.SnapshotOptions{DefaultTheta: 0.3}
-		dopts := core.DetectOptions{MaxRounds: 20, Tolerance: 1e-9, Publish: &pub}
+		dopts := core.DetectOptions{MaxRounds: 20, Tolerance: 1e-9}
 		if seed%3 == 0 {
 			// Loss epochs: per-round publications under message loss.
 			dopts.PSend, dopts.Seed = 0.7, seed
@@ -308,10 +308,17 @@ func TestDeltaDigestOracle(t *testing.T) {
 			}
 		}
 
-		// Phase 1: full detection, one delta publication per round.
-		res, err := n.RunDetection(dopts)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		// Phase 1: full detection, one delta publication per round. Each
+		// lossy round draws its own loss pattern.
+		var res core.DetectResult
+		for r := 0; r < dopts.MaxRounds && !res.Converged; r++ {
+			ropts := dopts
+			ropts.MaxRounds, ropts.Seed = 1, dopts.Seed+int64(r)
+			var err error
+			if res, err = n.RunDetection(ropts); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			n.PublishSnapshot(res, pub)
 		}
 		check("detection", res)
 
@@ -345,6 +352,7 @@ func TestDeltaDigestOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: incremental: %v", seed, err)
 		}
+		n.PublishSnapshot(ires, pub)
 		check("incremental", ires)
 
 		// Phase 3: churn severs the chain; the forced-full successor still
@@ -370,9 +378,14 @@ func TestDeltaRouteEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		pub := core.SnapshotOptions{DefaultTheta: 0.3}
-		res, err := n.RunDetection(core.DetectOptions{MaxRounds: 15, Tolerance: 1e-9, Publish: &pub})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		// One delta publication per round, as in TestDeltaDigestOracle.
+		var res core.DetectResult
+		for r := 0; r < 15 && !res.Converged; r++ {
+			var err error
+			if res, err = n.RunDetection(core.DetectOptions{MaxRounds: 1, Tolerance: 1e-9}); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			n.PublishSnapshot(res, pub)
 		}
 		snap := n.Snapshot()
 		fopts := pub

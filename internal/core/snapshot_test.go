@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -166,32 +167,57 @@ func TestSnapshotImmutableUnderChurn(t *testing.T) {
 	}
 }
 
-// TestDetectionPublishesSnapshots: DetectOptions.Publish makes RunDetection
-// publish a snapshot per round, and the final snapshot's posteriors match
-// the detection result.
+// TestDetectionPublishesSnapshots: one-round RunDetection calls, each
+// followed by PublishSnapshot, publish a snapshot per round while following
+// the same belief-propagation trajectory as one multi-round run (same round
+// count, bit-identical posteriors), and the final snapshot's posteriors
+// match the detection result.
 func TestDetectionPublishesSnapshots(t *testing.T) {
-	n := core.NewNetwork(true)
-	mk := func(name string) *schema.Schema { return schema.MustNew(name, "a", "b") }
-	for _, p := range []graph.PeerID{"p1", "p2", "p3"} {
-		n.MustAddPeer(p, mk("S"+string(p[1])))
+	build := func() *core.Network {
+		n := core.NewNetwork(true)
+		mk := func(name string) *schema.Schema { return schema.MustNew(name, "a", "b") }
+		for _, p := range []graph.PeerID{"p1", "p2", "p3"} {
+			n.MustAddPeer(p, mk("S"+string(p[1])))
+		}
+		id := map[schema.Attribute]schema.Attribute{"a": "a", "b": "b"}
+		n.MustAddMapping("m12", "p1", "p2", id)
+		n.MustAddMapping("m23", "p2", "p3", id)
+		n.MustAddMapping("m31", "p3", "p1", id)
+		if _, err := n.Discover(core.DiscoverConfig{Attrs: []schema.Attribute{"a"}, MaxLen: 4}); err != nil {
+			t.Fatal(err)
+		}
+		return n
 	}
-	id := map[schema.Attribute]schema.Attribute{"a": "a", "b": "b"}
-	n.MustAddMapping("m12", "p1", "p2", id)
-	n.MustAddMapping("m23", "p2", "p3", id)
-	n.MustAddMapping("m31", "p3", "p1", id)
-	if _, err := n.Discover(core.DiscoverConfig{Attrs: []schema.Attribute{"a"}, MaxLen: 4}); err != nil {
-		t.Fatal(err)
+	n := build()
+	var det core.DetectResult
+	rounds := 0
+	for !det.Converged {
+		var err error
+		if det, err = n.RunDetection(core.DetectOptions{MaxRounds: 1}); err != nil {
+			t.Fatal(err)
+		}
+		n.PublishSnapshot(det, core.SnapshotOptions{DefaultTheta: 0.5})
+		if rounds++; rounds > 100 {
+			t.Fatal("detection did not converge")
+		}
 	}
-	det, err := n.RunDetection(core.DetectOptions{Publish: &core.SnapshotOptions{DefaultTheta: 0.5}})
+	whole, err := build().RunDetection(core.DetectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := n.Snapshot()
-	if snap == nil {
-		t.Fatal("detection with Publish set left no snapshot")
+	if whole.Rounds != rounds {
+		t.Errorf("one-round loop took %d rounds, one multi-round run %d", rounds, whole.Rounds)
 	}
-	if snap.Epoch() != uint64(det.Rounds) {
-		t.Fatalf("snapshot epoch %d, want one per round = %d", snap.Epoch(), det.Rounds)
+	for m, attrs := range whole.Posteriors {
+		for a, p := range attrs {
+			if got := det.Posterior(m, a, -1); math.Float64bits(got) != math.Float64bits(p) {
+				t.Errorf("posterior %s/%s: one-round loop %v, multi-round run %v", m, a, got, p)
+			}
+		}
+	}
+	snap := n.Snapshot()
+	if snap.Epoch() != uint64(rounds) {
+		t.Fatalf("snapshot epoch %d, want one per round = %d", snap.Epoch(), rounds)
 	}
 	for m, attrs := range det.Posteriors {
 		for a, p := range attrs {

@@ -16,11 +16,8 @@ type Bus struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// statsMu guards both the counters and the loss model, so Sent/Dropped
-	// stay consistent with each other and drop decisions are race-free.
 	statsMu sync.Mutex
 	stats   Stats
-	drop    *dropper
 }
 
 type busPeer struct {
@@ -35,23 +32,6 @@ type busPeer struct {
 // NewBus creates a reliable asynchronous transport.
 func NewBus() *Bus {
 	return &Bus{peers: make(map[graph.PeerID]*busPeer)}
-}
-
-// NewLossyBus creates an asynchronous transport dropping each regular
-// message with probability 1−psend, using the same deterministic per-pair
-// loss model as the stepped transports — identical traffic loses identical
-// messages, and Stats.Dropped is accounted exactly as the Simulator does
-// (loss at send time, plus sends to unknown or closed peers). Low-priority
-// envelopes (SendLow) are never lost: they model a peer's local timer, not
-// network traffic.
-func NewLossyBus(psend float64, seed int64) (*Bus, error) {
-	d, err := newDropper(psend, seed)
-	if err != nil {
-		return nil, err
-	}
-	b := NewBus()
-	b.drop = d
-	return b, nil
 }
 
 // Register installs the handler for a peer and starts its dispatch
@@ -127,17 +107,11 @@ func (b *Bus) Send(e Envelope) { b.send(e, false) }
 // a peer always folds in the remote messages that already arrived before
 // producing again — modelling a node that serves its network inbox ahead of
 // its local timer, with no cross-peer synchronization whatsoever.
-// Low-priority envelopes are exempt from message loss.
 func (b *Bus) SendLow(e Envelope) { b.send(e, true) }
 
 func (b *Bus) send(e Envelope, low bool) {
 	b.statsMu.Lock()
 	b.stats.Sent++
-	if !low && b.drop.drop(e.From, e.To) {
-		b.stats.Dropped++
-		b.statsMu.Unlock()
-		return
-	}
 	b.statsMu.Unlock()
 	b.mu.Lock()
 	bp, ok := b.peers[e.To]

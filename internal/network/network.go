@@ -24,8 +24,9 @@
 //     tests.
 //
 // Message loss is a deterministic per-(sender, receiver) hash stream shared
-// by every transport (see dropper), so a lossy run is reproducible — and
-// identical — no matter which substrate carries it.
+// by every stepped transport (see dropper), so a lossy run is reproducible —
+// and identical — no matter which substrate carries it. The Bus is
+// reliable.
 package network
 
 import (

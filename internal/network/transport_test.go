@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 )
@@ -101,91 +100,6 @@ func mustSim(t *testing.T, psend float64, seed int64) *Simulator {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// TestBusDropAccountingMatchesSimulator: under identical lossy traffic the
-// Bus drops exactly the messages the Simulator drops, and both account them
-// identically (Sent = Delivered + Dropped, loss counted at send time).
-func TestBusDropAccountingMatchesSimulator(t *testing.T) {
-	const n = 500
-	sim := mustSim(t, 0.6, 99)
-	sim.Register("a", func(Envelope) {})
-	sim.Register("b", func(Envelope) {})
-	for i := 0; i < n; i++ {
-		sim.Send(Envelope{From: "x", To: "a"})
-		sim.Send(Envelope{From: "y", To: "b"})
-	}
-	sim.Drain(5)
-	simStats := sim.Stats()
-
-	bus, err := NewLossyBus(0.6, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("a", func(Envelope) {})
-	bus.Register("b", func(Envelope) {})
-	for i := 0; i < n; i++ {
-		bus.Send(Envelope{From: "x", To: "a"})
-		bus.Send(Envelope{From: "y", To: "b"})
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !bus.Quiescent() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	bus.Close()
-	busStats := bus.Stats()
-
-	if busStats != simStats {
-		t.Errorf("bus stats %+v, simulator stats %+v — drop accounting diverged", busStats, simStats)
-	}
-	if busStats.Sent != busStats.Delivered+busStats.Dropped {
-		t.Errorf("bus accounting leak: %+v", busStats)
-	}
-	if busStats.Dropped == 0 || busStats.Dropped == 2*n {
-		t.Errorf("degenerate loss: %+v", busStats)
-	}
-}
-
-// TestLossyBusControlFramesExempt: low-priority envelopes (local timers)
-// are never lost, whatever the loss rate of regular traffic.
-func TestLossyBusControlFramesExempt(t *testing.T) {
-	bus, err := NewLossyBus(0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ticks int
-	var mu sync.Mutex
-	bus.Register("a", func(Envelope) {
-		mu.Lock()
-		ticks++
-		mu.Unlock()
-	})
-	for i := 0; i < 100; i++ {
-		bus.SendLow(Envelope{From: "driver", To: "a"})
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !bus.Quiescent() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	bus.Close()
-	if ticks != 100 {
-		t.Errorf("delivered %d of 100 low-priority envelopes", ticks)
-	}
-}
-
-// TestNewLossyBusValidation mirrors the simulator's psend validation.
-func TestNewLossyBusValidation(t *testing.T) {
-	if _, err := NewLossyBus(0, 0); err == nil {
-		t.Error("psend=0: want error")
-	}
-	if _, err := NewLossyBus(2, 0); err == nil {
-		t.Error("psend>1: want error")
-	}
-	b, err := NewLossyBus(1, 0)
-	if err != nil || b == nil {
-		t.Errorf("psend=1 must build a reliable bus: %v", err)
-	}
-	b.Close()
 }
 
 // TestShardedAssignsAndSteps: peers spread across shards, delivery works,

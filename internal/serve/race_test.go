@@ -337,8 +337,9 @@ func TestConcurrentDeltaSwapServing(t *testing.T) {
 	}
 }
 
-// TestConcurrentServeDuringDetection serves queries while RunDetection
-// itself publishes a snapshot after every BP round (DetectOptions.Publish).
+// TestConcurrentServeDuringDetection serves queries while detection
+// publishes a snapshot after every BP round (one-round RunDetection calls,
+// each followed by PublishSnapshot).
 // Detection rounds are deterministic, so two answers for the same (epoch,
 // query) must always be identical even with the cache disabled — any
 // difference is a torn snapshot. A second cached server runs alongside to
@@ -384,13 +385,15 @@ func TestConcurrentServeDuringDetection(t *testing.T) {
 		}(r)
 	}
 
-	for round := 0; round < 4; round++ {
+	for run := 0; run < 4; run++ {
 		net.ResetMessages()
-		if _, err := net.RunDetection(core.DetectOptions{
-			Tolerance: 1e-9,
-			Publish:   &core.SnapshotOptions{},
-		}); err != nil {
-			t.Fatal(err)
+		var det core.DetectResult
+		for round := 0; round < 100 && !det.Converged; round++ {
+			var err error
+			if det, err = net.RunDetection(core.DetectOptions{MaxRounds: 1, Tolerance: 1e-9}); err != nil {
+				t.Fatal(err)
+			}
+			net.PublishSnapshot(det, core.SnapshotOptions{})
 		}
 	}
 	stop.Store(true)

@@ -49,8 +49,8 @@
 // same choice through the replay engine and cmd/pdmssim's -transport flag.
 //
 // On top of detection sits the query-serving plane: Network.PublishSnapshot
-// (or DetectOptions.Publish) freezes the posteriors and the θ-gated overlay
-// into an immutable, epoch-stamped RoutingSnapshot behind an atomic pointer,
+// freezes a detection result's posteriors and the θ-gated overlay into an
+// immutable, epoch-stamped RoutingSnapshot behind an atomic pointer,
 // and NewServer answers queries end-to-end against the current snapshot —
 // routing, per-path rewriting, store execution, canonical merge — from any
 // number of goroutines, with a coalescing LRU result cache keyed by (origin,
@@ -191,7 +191,7 @@ type (
 
 // Query-serving plane types (see TESTING.md, "Serving plane"): detection
 // publishes immutable, epoch-stamped RoutingSnapshots via an atomic pointer
-// swap (Network.PublishSnapshot / DetectOptions.Publish), and a Server
+// swap (Network.PublishSnapshot), and a Server
 // answers queries end-to-end against the current snapshot — θ-gated routing,
 // per-path rewriting, store execution at every reachable peer, canonical
 // merge — with an LRU result cache keyed by (origin, query, snapshot epoch).
@@ -320,22 +320,13 @@ func NewWALDirStorage(dir string) (*WALDirStorage, error) { return wal.NewDirSto
 // NewWALMemStorage creates in-memory WAL storage with crash injection.
 func NewWALMemStorage() *WALMemStorage { return wal.NewMemStorage() }
 
-// ParseWALSyncPolicy parses "always", "group" or "off".
-func ParseWALSyncPolicy(s string) (WALSyncPolicy, error) { return wal.ParseSyncPolicy(s) }
-
 // DigestNetwork fingerprints a network's inference-relevant state; a
 // recovered network's digest equals the original's.
 func DigestNetwork(n *Network) string { return wal.DigestNetwork(n) }
 
-// NewDurableSimulation is NewSimulation with every mutation journaled to lg
-// (an empty, freshly opened log) — the WAL-on path cmd/pdmsload -wal uses.
-func NewDurableSimulation(sc Scenario, lg *WAL) (*Simulation, error) {
-	return sim.NewDurable(sc, lg)
-}
-
 // NewServer builds a query server reading snapshots from the network.
-// Publish a snapshot (Network.PublishSnapshot or DetectOptions.Publish)
-// before the first Answer call.
+// Publish a snapshot (Network.PublishSnapshot) before the first Answer
+// call.
 func NewServer(n *Network, opts ServeOptions) *Server { return serve.New(n, opts) }
 
 // ParseLoadSpec decodes a load spec from JSON, rejecting unknown fields.
